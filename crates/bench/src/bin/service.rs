@@ -81,7 +81,9 @@ use tb_bench::traj::{self, RunRow};
 use tb_bench::HarnessArgs;
 use tb_core::prelude::*;
 use tb_obs::LogHistogram;
-use tb_service::{PlacementPolicy, Runtime, RuntimeConfig, ShardConfig, ShardedRuntime, TenantSpec};
+use tb_service::{
+    JobRequest, PlacementPolicy, Runtime, RuntimeConfig, ShardConfig, ShardedRuntime, TenantSpec,
+};
 use tb_spec::SpecTier;
 use tb_suite::jobs::{FibJob, NQueensJob, UtsJob};
 use tb_suite::Scale;
@@ -193,14 +195,22 @@ fn submit_one(rt: &Runtime, scale: Scale, slot: usize) -> (&'static str, tb_serv
         0 => {
             let job = FibJob::new(scale);
             let want = job.expected();
-            ("fib/basic", rt.submit(job, SchedConfig::basic(16, 1 << 10), SchedulerKind::ReExpansion), want)
+            (
+                "fib/basic",
+                rt.submit(JobRequest::new(job, SchedConfig::basic(16, 1 << 10), SchedulerKind::ReExpansion)),
+                want,
+            )
         }
         1 => {
             let job = UtsJob::new(scale);
             let want = job.expected();
             (
                 "uts/restart",
-                rt.submit(job, SchedConfig::restart(4, 1 << 10, 1 << 8), SchedulerKind::RestartSimplified),
+                rt.submit(JobRequest::new(
+                    job,
+                    SchedConfig::restart(4, 1 << 10, 1 << 8),
+                    SchedulerKind::RestartSimplified,
+                )),
                 want,
             )
         }
@@ -209,14 +219,22 @@ fn submit_one(rt: &Runtime, scale: Scale, slot: usize) -> (&'static str, tb_serv
             let want = job.expected();
             (
                 "nqueens/reexp",
-                rt.submit(job, SchedConfig::reexpansion(16, 1 << 10), SchedulerKind::ReExpansion),
+                rt.submit(JobRequest::new(
+                    job,
+                    SchedConfig::reexpansion(16, 1 << 10),
+                    SchedulerKind::ReExpansion,
+                )),
                 want,
             )
         }
         _ => {
             let job = FibJob { n: FibJob::new(scale).n.saturating_sub(6) };
             let want = job.expected();
-            ("fib/seq", rt.submit(job, SchedConfig::basic(16, 1 << 10), SchedulerKind::Seq), want)
+            (
+                "fib/seq",
+                rt.submit(JobRequest::new(job, SchedConfig::basic(16, 1 << 10), SchedulerKind::Seq)),
+                want,
+            )
         }
     }
 }
@@ -492,11 +510,12 @@ fn main() {
                 let mut handles = Vec::new();
                 let mut shed = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    match rt.try_submit_preemptible(
-                        batch_t,
+                    let req = JobRequest::new(
                         FibJob { n: batch_n },
                         SchedConfig::basic(16, 1 << 10),
-                    ) {
+                        SchedulerKind::Seq,
+                    );
+                    match rt.try_submit(req.tenant(batch_t).preemptible()) {
                         Ok(h) => handles.push(h),
                         Err(_) => {
                             // At the tenant's pending bound: shed and retry
@@ -523,12 +542,12 @@ fn main() {
                     let mut lats = Vec::with_capacity(args.jobs_per_client * 2);
                     for _ in 0..args.jobs_per_client * 2 {
                         let t0 = Instant::now();
-                        let h = rt.submit_as(
-                            interactive_t,
+                        let req = JobRequest::new(
                             FibJob { n: inter_n },
                             SchedConfig::basic(16, 1 << 10),
                             SchedulerKind::Seq,
                         );
+                        let h = rt.submit(req.tenant(interactive_t));
                         assert_eq!(h.wait().expect("interactive job failed"), want);
                         lats.push(t0.elapsed().as_secs_f64());
                     }

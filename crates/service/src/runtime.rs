@@ -10,17 +10,19 @@ use tb_core::{
 };
 use tb_obs::EventKind;
 use tb_runtime::{InjectorMetrics, ThreadPool, WorkerCtx};
-use tb_spec::{compile, parse_spec, CompiledSpec, SpecCode, SpecTier, VectorSpec};
+use tb_spec::{compile, parse_spec, SpecCode};
 
 use crate::bulk::{adaptive_chunk_len, BulkCore, BulkHandle};
 use crate::handle::{JobCore, JobError, JobHandle};
+use crate::request::{JobRequest, Payload};
 use crate::sched::{
-    Admission, AdmissionPolicy, FinishObserver, JobId, PreemptFlag, TenantId, TenantSnapshot, TenantSpec,
+    Admission, AdmissionPolicy, FinishObserver, JobId, PreemptFlag, ReadyJob, TenantId, TenantSnapshot,
+    TenantSpec,
 };
 
-/// The tenant every runtime is born with; tenant-unaware entry points
-/// ([`Runtime::submit`], [`Runtime::submit_fn`], [`Runtime::submit_bulk`],
-/// [`Runtime::submit_spec`]…) run as this tenant (weight 1, priority 0).
+/// The tenant every runtime is born with (weight 1, priority 0): a
+/// [`JobRequest`] runs as it unless told otherwise, and
+/// [`Runtime::submit_fn`] and [`Runtime::submit_bulk`] always do.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Construction parameters for a [`Runtime`].
@@ -70,7 +72,7 @@ pub struct ServiceStats {
     /// Spec submissions rejected before reaching a worker (parse/validate
     /// failures, root-arity mismatches; see [`JobError::Rejected`]).
     pub rejected: u64,
-    /// Spec sources compiled ([`Runtime::submit_spec`] cache misses).
+    /// Spec sources compiled ([`crate::SpecJob`] cache misses).
     pub spec_compiles: u64,
     /// Spec submissions served from the compile-once cache.
     pub spec_cache_hits: u64,
@@ -145,9 +147,9 @@ struct Counters {
 }
 
 impl Counters {
-    fn finish(&self, outcome: &Result<(), JobError>) {
+    fn finish<R>(&self, outcome: &Result<R, JobError>) {
         match outcome {
-            Ok(()) => self.completed.fetch_add(1, Ordering::Relaxed),
+            Ok(_) => self.completed.fetch_add(1, Ordering::Relaxed),
             Err(JobError::Cancelled) => self.cancelled.fetch_add(1, Ordering::Relaxed),
             Err(JobError::Panicked) => self.panicked.fetch_add(1, Ordering::Relaxed),
             // Rejections never reach a worker (nothing was admitted), so
@@ -168,7 +170,7 @@ struct Inner {
     // `WorkerCtx::spawn` for the same reason.
     admission: Arc<Admission>,
     counters: Arc<Counters>,
-    // Compile-once cache for `submit_spec`: source text -> lowered code.
+    // Compile-once cache for spec jobs: source text -> lowered code.
     // Keyed by the exact source string (no hashing shortcuts: a collision
     // would silently run the wrong program). Guarded by a plain mutex —
     // compilation is microseconds and submissions are already a
@@ -228,17 +230,18 @@ impl SpecCache {
 /// A persistent, multi-tenant front-end over one work-stealing pool.
 ///
 /// Where `ThreadPool::install` is one-program-one-caller-blocks, a
-/// `Runtime` multiplexes many concurrent clients: any thread submits any
-/// [`BlockProgram`] (each with its own [`SchedConfig`] and
-/// [`SchedulerKind`], so basic, re-expansion and restart jobs coexist),
-/// gets back a [`JobHandle`] to poll, block on, or cancel, and the
+/// `Runtime` multiplexes many concurrent clients: any thread submits a
+/// [`JobRequest`] — any [`BlockProgram`] or spec source, each with its own
+/// [`SchedConfig`] and [`SchedulerKind`], so basic, re-expansion and
+/// restart jobs coexist — gets back a [`JobHandle`] to poll, block on, or
+/// cancel, and the
 /// admission scheduler pushes overload back on the submitting *tenant*
 /// instead of letting queues grow without bound or letting one tenant
 /// starve the rest. Cloning is cheap and shares the pool.
 ///
 /// Registered tenants ([`Runtime::register_tenant`]) get weighted fair
 /// admission within their priority class and strict priority across
-/// classes; [`Runtime::submit_preemptible`] jobs additionally park at
+/// classes; preemptible requests additionally park at
 /// superstep boundaries when a higher-priority tenant needs their slot,
 /// and resume later with bit-identical results. See the crate docs and
 /// DESIGN.md §9.
@@ -273,8 +276,7 @@ impl Runtime {
     }
 
     /// Register a tenant with its own weight, priority and submit-side
-    /// bound. Returns the id to pass to [`Runtime::submit_as`] and
-    /// friends. Tenants cannot be unregistered (ids are dense and stats
+    /// bound. Returns the id to pass to [`JobRequest::tenant`]. Tenants cannot be unregistered (ids are dense and stats
     /// are indexed by them); a long-lived service registers its client
     /// classes once at startup.
     pub fn register_tenant(&self, spec: TenantSpec) -> TenantId {
@@ -348,343 +350,48 @@ impl Runtime {
         }
     }
 
-    /// Submit `prog` to run under `kind` with `cfg` as the default tenant,
-    /// blocking only if that tenant is at its pending bound (the
-    /// backpressure gate). Returns immediately with a handle; the run
-    /// happens on the pool.
+    /// Serve `req`, blocking only while its tenant is at its pending bound
+    /// (the backpressure gate). Returns at once with a handle; the job
+    /// runs on the pool. A [`SpecJob`](crate::SpecJob) the runtime cannot
+    /// compile comes back as a handle already completed with
+    /// [`JobError::Rejected`].
     ///
-    /// Scheduler choice per job: [`SchedulerKind::Seq`],
-    /// [`SchedulerKind::ReExpansion`] and [`SchedulerKind::RestartSimplified`]
-    /// are pool-resident and compose freely;
-    /// [`SchedulerKind::RestartIdeal`] spawns its own dedicated threads per
-    /// job (see `run_scheduler_on_ctx`) and is meant for measurement, not
-    /// service traffic.
-    pub fn submit<P>(&self, prog: P, cfg: SchedConfig, kind: SchedulerKind) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.submit_as(DEFAULT_TENANT, prog, cfg, kind)
+    /// # Panics
+    /// If `req.tenant` was never registered.
+    pub fn submit<J: Payload>(&self, req: JobRequest<J>) -> JobHandle<J::Output> {
+        J::admit(req, self, Gating::Block).unwrap_or_else(|_| unreachable!("a blocking gate never sheds"))
     }
 
     /// Like [`Runtime::submit`], but sheds load instead of blocking: when
-    /// the tenant is at its pending bound the program is handed back
-    /// unchanged.
-    pub fn try_submit<P>(
-        &self,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.try_submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// [`Runtime::submit`] on behalf of a registered tenant: admission
-    /// order follows the tenant's weight within its priority class and
-    /// strict priority across classes; saturation blocks only `tenant`'s
-    /// own submitters.
+    /// the tenant is at its pending bound the payload is handed back
+    /// unchanged. `Err` means capacity and nothing else — a rejected spec
+    /// is still `Ok` with a [`JobError::Rejected`] handle.
     ///
     /// # Panics
-    /// If `tenant` was never registered.
-    pub fn submit_as<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.inner.admission.gate(tenant).acquire();
-        self.spawn_admitted_as(tenant, prog, cfg, kind)
+    /// If `req.tenant` was never registered.
+    pub fn try_submit<J: Payload>(&self, req: JobRequest<J>) -> Result<JobHandle<J::Output>, J> {
+        J::admit(req, self, Gating::Shed)
     }
 
-    /// [`Runtime::try_submit`] on behalf of a registered tenant.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn try_submit_as<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(prog);
-        }
-        Ok(self.spawn_admitted_as(tenant, prog, cfg, kind))
-    }
-
-    /// Submit a *preemptible* job for `tenant`: the program runs under the
-    /// sequential stepping engine on one worker, and when a
-    /// higher-priority tenant needs the slot the scheduler asks it to park
-    /// at its next superstep boundary — its frontier moves into the
-    /// bounded park pool, the slot frees, and the job resumes later with
-    /// **bit-identical results** to an uninterrupted run (the park/resume
-    /// round-trip property; see `tests/preempt_equiv.rs`).
-    ///
-    /// This is the submission path for batch work that should yield to
-    /// interactive traffic. Parallel scheduler jobs ([`Runtime::submit`])
-    /// are never preempted — they occupy their slot until completion.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn submit_preemptible<P>(&self, tenant: TenantId, prog: P, cfg: SchedConfig) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Store: Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.inner.admission.gate(tenant).acquire();
-        self.enqueue_preemptible(tenant, prog, cfg)
-    }
-
-    /// Like [`Runtime::submit_preemptible`], but sheds load instead of
-    /// blocking when `tenant` is at its pending bound.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn try_submit_preemptible<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Store: Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(prog);
-        }
-        Ok(self.enqueue_preemptible(tenant, prog, cfg))
-    }
-
-    /// Submit a plain closure as a job (no scheduler run): `f` executes on
-    /// one worker; the handle behaves like any job handle. Cancelling
-    /// before a worker picks the job up skips `f` entirely; once `f` is
-    /// running it is not interrupted (closures have no block boundaries to
-    /// cancel at).
+    /// Submit a plain closure as a default-tenant job (no scheduler run):
+    /// `f` executes on one worker; the handle behaves like any job handle.
+    /// Cancelling before a worker picks the job up skips `f` entirely;
+    /// once `f` is running it is not interrupted (closures have no block
+    /// boundaries to cancel at).
     pub fn submit_fn<R, F>(&self, f: F) -> JobHandle<R>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
-        self.inner.admission.gate(DEFAULT_TENANT).acquire();
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.gate(DEFAULT_TENANT, Gating::Block);
         let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let (_, ready) = self.inner.admission.enqueue(DEFAULT_TENANT, false, None, move |id| {
+        let (token, done) = (core.cancel_token(), Arc::clone(&core));
+        self.enqueue(DEFAULT_TENANT, None, move |retire| {
             Box::new(move |ctx: &WorkerCtx<'_>| {
-                let result = if token.is_cancelled() {
-                    Err(JobError::Cancelled)
-                } else {
-                    match catch_unwind(AssertUnwindSafe(f)) {
-                        Ok(v) => Ok(v),
-                        Err(_) => Err(JobError::Panicked),
-                    }
-                };
-                counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                for job in adm.finished(id) {
-                    ctx.spawn(job);
-                }
-                worker_core.complete(result);
+                let body = || if token.is_cancelled() { Err(JobError::Cancelled) } else { Ok(f()) };
+                retire.run(ctx, body, |result| done.complete(result));
             })
         });
-        self.dispatch(ready);
-        JobHandle::new(core)
-    }
-
-    /// Submit a spec-language program *as source text*: the runtime
-    /// parses, validates and lowers it through [`tb_spec::compile()`] once,
-    /// then schedules the compiled program under `kind` like any other
-    /// job. This is the "work the service has never seen before" path —
-    /// a client ships a program, not a type.
-    ///
-    /// Compilation is cached by source text: resubmitting the same source
-    /// (any args) reuses the lowered instruction stream
-    /// ([`ServiceStats::spec_cache_hits`]).
-    ///
-    /// Errors never panic a worker: a source that fails to parse or
-    /// validate, or a root tuple whose length does not match the method's
-    /// parameter count, completes the returned handle immediately with
-    /// [`JobError::Rejected`] carrying the located diagnostic (for parse
-    /// errors, a caret line into the client's source).
-    /// Execution tier: [`SpecTier::Auto`] picks the vector tier at the
-    /// host's detected lane width (`tb_spec::detected_lane_width`) and the
-    /// scalar tier on SIMD-less hosts — safe because the tiers are
-    /// bit-identical; [`Runtime::submit_spec_tier`] pins one explicitly.
-    pub fn submit_spec(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, vec![args], cfg, kind, SpecTier::Auto)
-    }
-
-    /// Like [`Runtime::submit_spec`] with an explicit execution tier
-    /// (scalar instruction loop vs `Q`-lane masked vector execution).
-    pub fn submit_spec_tier(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, vec![args], cfg, kind, tier)
-    }
-
-    /// Like [`Runtime::submit_spec`], but over a §5.2 data-parallel
-    /// `foreach`: one level-0 task per argument tuple, strip-mined by the
-    /// scheduler. Runs at the [`SpecTier::Auto`] execution tier.
-    pub fn submit_spec_foreach(
-        &self,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, calls, cfg, kind, SpecTier::Auto)
-    }
-
-    /// Like [`Runtime::submit_spec_foreach`] with an explicit execution
-    /// tier.
-    pub fn submit_spec_foreach_tier(
-        &self,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier_as(DEFAULT_TENANT, source, calls, cfg, kind, tier)
-    }
-
-    /// [`Runtime::submit_spec_foreach_tier`] on behalf of a registered
-    /// tenant: the submission passes `tenant`'s gate and is scheduled
-    /// under its weight and priority. Parse/validate/arity failures
-    /// complete the handle with [`JobError::Rejected`] without consuming
-    /// a gate slot.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn submit_spec_foreach_tier_as(
-        &self,
-        tenant: TenantId,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        let code = match self.validate_spec(source, &calls) {
-            Ok(code) => code,
-            Err(diag) => return self.reject(tenant, diag),
-        };
-        self.inner.admission.gate(tenant).acquire();
-        self.spawn_spec_admitted(tenant, code, calls, cfg, kind, tier)
-    }
-
-    /// Like [`Runtime::submit_spec_foreach_tier_as`], but sheds load
-    /// instead of blocking: when `tenant` is at its pending bound the root
-    /// calls are handed back unchanged. A source that fails to
-    /// parse/validate still returns `Ok` with a handle completed as
-    /// [`JobError::Rejected`] — `Err` means *capacity*, nothing else.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn try_submit_spec_foreach_tier_as(
-        &self,
-        tenant: TenantId,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> Result<JobHandle<i64>, Vec<Vec<i64>>> {
-        let code = match self.validate_spec(source, &calls) {
-            Ok(code) => code,
-            Err(diag) => return Ok(self.reject(tenant, diag)),
-        };
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(calls);
-        }
-        Ok(self.spawn_spec_admitted(tenant, code, calls, cfg, kind, tier))
-    }
-
-    /// Compile `source` (cached) and check every root call's arity.
-    fn validate_spec(&self, source: &str, calls: &[Vec<i64>]) -> Result<Arc<SpecCode>, String> {
-        let code = self.compile_cached(source)?;
-        if let Some(bad) = calls.iter().find(|c| c.len() != code.params()) {
-            return Err(format!(
-                "root call supplies {} args, method {} has {} params",
-                bad.len(),
-                code.name(),
-                code.params()
-            ));
-        }
-        Ok(code)
-    }
-
-    /// Dispatch validated, gated spec code at `tier`.
-    fn spawn_spec_admitted(
-        &self,
-        tenant: TenantId,
-        code: Arc<SpecCode>,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        // arg0 = effective lane width (1 = scalar tier), arg = root calls.
-        tb_obs::record(EventKind::SpecDispatch, tier.lane_width().max(1) as u32, calls.len() as u64);
-        match tier.lane_width() {
-            0 | 1 => self.spawn_admitted_as(tenant, CompiledSpec::from_code(code, &calls), cfg, kind),
-            q => self.spawn_admitted_as(tenant, VectorSpec::from_code_with_width(code, &calls, q), cfg, kind),
-        }
-    }
-
-    /// Look up `source` in the compile-once LRU cache, lowering on a miss.
-    /// The diagnostic string on failure is [`JobError::Rejected`] payload.
-    fn compile_cached(&self, source: &str) -> Result<Arc<SpecCode>, String> {
-        if let Some(code) = self.inner.spec_cache.lock().get(source) {
-            self.inner.counters.spec_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(code);
-        }
-        // Parse/compile outside the lock: a client submitting a huge or
-        // malformed source must not stall other submitters' cache hits.
-        let spec = parse_spec(source).map_err(|e| e.to_string())?;
-        let code = Arc::new(compile(&spec).map_err(|e| e.to_string())?);
-        self.inner.counters.spec_compiles.fetch_add(1, Ordering::Relaxed);
-        Ok(self.inner.spec_cache.lock().insert(source, code))
-    }
-
-    /// A handle pre-completed with [`JobError::Rejected`]; the job never
-    /// existed as far as the scheduler and the pool are concerned. The
-    /// finish observer still fires — a placement layer that booked this
-    /// submission must see it retire.
-    fn reject<R>(&self, tenant: TenantId, diagnostic: impl std::fmt::Display) -> JobHandle<R> {
-        self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let core = Arc::new(JobCore::new());
-        core.complete(Err(JobError::rejected(diagnostic)));
-        self.inner.admission.notify_rejected(tenant);
         JobHandle::new(core)
     }
 
@@ -723,114 +430,184 @@ impl Runtime {
         for index in 0..chunks {
             let rest = items.split_off(chunk_len.min(items.len()));
             let chunk = std::mem::replace(&mut items, rest);
-            self.inner.admission.gate(DEFAULT_TENANT).acquire();
-            self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            self.gate(DEFAULT_TENANT, Gating::Block);
             let (core, token, make) = (Arc::clone(&core), token.clone(), Arc::clone(&make));
-            let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-            let (_, ready) = self.inner.admission.enqueue(DEFAULT_TENANT, false, None, move |id| {
+            self.enqueue(DEFAULT_TENANT, None, move |retire| {
                 Box::new(move |ctx: &WorkerCtx<'_>| {
-                    // The chunk-builder runs inside the catch too: a panic in
-                    // `make` must route to JobError::Panicked and free the
-                    // admission slot, not escape to the pool's backstop.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let prog = Cancellable::new(make(chunk), token.clone());
-                        run_scheduler_on_ctx(kind, &prog, cfg, ctx)
-                    }));
-                    let result = match outcome {
-                        Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
-                        Ok(out) => Ok(out.reducer),
-                        Err(_) => Err(JobError::Panicked),
-                    };
-                    counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                    for job in adm.finished(id) {
-                        ctx.spawn(job);
-                    }
-                    core.complete_chunk(index, result);
+                    // `make` runs inside the catch too: a panicking chunk
+                    // builder is JobError::Panicked and frees its slot.
+                    let body = || run_program(make(chunk), &token, kind, cfg, ctx);
+                    retire.run(ctx, body, |result| core.complete_chunk(index, result));
                 })
             });
-            self.dispatch(ready);
         }
         debug_assert!(items.is_empty(), "chunking consumed every item");
         BulkHandle::new(core, chunks)
     }
 
-    /// Spawn jobs the scheduler released on a *client* path (we hold no
-    /// worker context here). Worker-side completions use
-    /// `WorkerCtx::spawn` instead — see [`drive_preemptible`] and the job
-    /// closures.
-    fn dispatch(&self, ready: Vec<crate::sched::ReadyJob>) {
-        for job in ready {
-            self.inner.pool.spawn(job);
+    /// Take one of `tenant`'s gate slots: wait for it, or report `false`
+    /// instead of waiting when shedding.
+    pub(crate) fn gate(&self, tenant: TenantId, gating: Gating) -> bool {
+        let gate = self.inner.admission.gate(tenant);
+        match gating {
+            Gating::Block => {
+                gate.acquire();
+                true
+            }
+            Gating::Shed => gate.try_acquire(),
         }
     }
 
-    /// Enqueue an already-gated non-preemptible scheduler job for `tenant`.
-    fn spawn_admitted_as<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+    /// Compile `source` (cached) and check every root call's arity.
+    pub(crate) fn validate_spec(&self, source: &str, calls: &[Vec<i64>]) -> Result<Arc<SpecCode>, String> {
+        let code = self.compile_cached(source)?;
+        if let Some(bad) = calls.iter().find(|c| c.len() != code.params()) {
+            return Err(format!(
+                "root call supplies {} args, method {} has {} params",
+                bad.len(),
+                code.name(),
+                code.params()
+            ));
+        }
+        Ok(code)
+    }
+
+    /// Look up `source` in the compile-once LRU cache, lowering on a miss.
+    /// The diagnostic string on failure is [`JobError::Rejected`] payload.
+    fn compile_cached(&self, source: &str) -> Result<Arc<SpecCode>, String> {
+        if let Some(code) = self.inner.spec_cache.lock().get(source) {
+            self.inner.counters.spec_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(code);
+        }
+        // Parse/compile outside the lock: a client submitting a huge or
+        // malformed source must not stall other submitters' cache hits.
+        let spec = parse_spec(source).map_err(|e| e.to_string())?;
+        let code = Arc::new(compile(&spec).map_err(|e| e.to_string())?);
+        self.inner.counters.spec_compiles.fetch_add(1, Ordering::Relaxed);
+        Ok(self.inner.spec_cache.lock().insert(source, code))
+    }
+
+    /// A handle pre-completed with [`JobError::Rejected`]; the job never
+    /// existed as far as the scheduler and the pool are concerned. The
+    /// finish observer still fires — a placement layer that booked this
+    /// submission must see it retire.
+    pub(crate) fn reject<R>(&self, tenant: TenantId, diagnostic: impl std::fmt::Display) -> JobHandle<R> {
+        self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
         let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let (_, ready) = self.inner.admission.enqueue(tenant, false, None, move |id| {
-            Box::new(move |ctx: &WorkerCtx<'_>| {
-                let prog = Cancellable::new(prog, token.clone());
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_scheduler_on_ctx(kind, &prog, cfg, ctx)));
-                let result = match outcome {
-                    Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
-                    Ok(out) => Ok(out.reducer),
-                    Err(_) => Err(JobError::Panicked),
-                };
-                counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                for job in adm.finished(id) {
-                    ctx.spawn(job);
-                }
-                worker_core.complete(result);
-            })
-        });
-        self.dispatch(ready);
+        core.complete(Err(JobError::rejected(diagnostic)));
+        self.inner.admission.notify_rejected(tenant);
         JobHandle::new(core)
     }
 
-    /// Enqueue an already-gated preemptible job for `tenant`.
-    fn enqueue_preemptible<P>(&self, tenant: TenantId, prog: P, cfg: SchedConfig) -> JobHandle<P::Reducer>
+    /// Enqueue an already-gated program: a scheduler run, or a preemptible
+    /// run of the stepping engine that parks at superstep boundaries.
+    pub(crate) fn enqueue_program<P>(&self, req: JobRequest<P>) -> JobHandle<P::Reducer>
     where
         P: BlockProgram + Send + 'static,
         P::Store: Send + 'static,
         P::Reducer: Send + 'static,
     {
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let JobRequest { tenant, cfg, kind, preemptible, job: prog } = req;
         let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
-        let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let driver_flag = Arc::clone(&flag);
-        let (_, ready) = self.inner.admission.enqueue(tenant, true, Some(flag), move |id| {
-            let run = PreemptibleRun {
-                prog: Cancellable::new(prog, token.clone()),
-                frontier: None,
-                cfg,
-                core: worker_core,
-                token,
-                flag: driver_flag,
-                adm,
-                counters,
-                id,
-            };
-            Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx))
+        let (token, done) = (core.cancel_token(), Arc::clone(&core));
+        let flag: Option<PreemptFlag> = preemptible.then(|| Arc::new(AtomicBool::new(false)));
+        let run_flag = flag.clone();
+        self.enqueue(tenant, flag, move |retire| match run_flag {
+            Some(flag) => {
+                let prog = Cancellable::new(prog, token.clone());
+                let run = PreemptibleRun { prog, frontier: None, cfg, core: done, token, flag, retire };
+                Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx))
+            }
+            None => Box::new(move |ctx: &WorkerCtx<'_>| {
+                let body = || run_program(prog, &token, kind, cfg, ctx);
+                retire.run(ctx, body, |result| done.complete(result));
+            }),
         });
-        self.dispatch(ready);
         JobHandle::new(core)
+    }
+
+    /// The one enqueue routine, behind every job shape: count an
+    /// already-gated job, hand it to the admission scheduler as `tenant`'s
+    /// (preemptible when it carries a preempt `flag`), and spawn whatever
+    /// the scheduler releases. `job` builds the body from its [`Retire`].
+    /// Worker-side completions spawn through `WorkerCtx::spawn` instead
+    /// (see [`Retire::finish`]).
+    fn enqueue(&self, tenant: TenantId, flag: Option<PreemptFlag>, job: impl FnOnce(Retire) -> ReadyJob) {
+        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
+        let (_, ready) = self.inner.admission.enqueue(tenant, flag, |id| job(Retire { adm, counters, id }));
+        for job in ready {
+            self.inner.pool.spawn(job);
+        }
+    }
+}
+
+/// How a submission meets its tenant's full gate.
+#[derive(Clone, Copy)]
+pub enum Gating {
+    /// Wait for a slot (backpressure).
+    Block,
+    /// Hand the payload back (load shedding).
+    Shed,
+}
+
+/// Run `prog` under `kind` on the current worker.
+fn run_program<P: BlockProgram>(
+    prog: P,
+    token: &CancelToken,
+    kind: SchedulerKind,
+    cfg: SchedConfig,
+    ctx: &WorkerCtx<'_>,
+) -> Result<P::Reducer, JobError> {
+    reduction(run_scheduler_on_ctx(kind, &Cancellable::new(prog, token.clone()), cfg, ctx), token)
+}
+
+/// A finished run's result: a cancelled run reports
+/// [`JobError::Cancelled`], not its partial reduction.
+fn reduction<R>(out: RunOutput<R>, token: &CancelToken) -> Result<R, JobError> {
+    if token.is_cancelled() {
+        Err(JobError::Cancelled)
+    } else {
+        Ok(out.reducer)
+    }
+}
+
+/// What a job reports its end through: the admission scheduler holding its
+/// slot, the runtime's counters (their own `Arc`s — see `Inner`), and its
+/// id.
+struct Retire {
+    adm: Arc<Admission>,
+    counters: Arc<Counters>,
+    id: JobId,
+}
+
+impl Retire {
+    /// Run `body` on `ctx`'s worker with a panic contained as
+    /// [`JobError::Panicked`], then [`Retire::finish`].
+    fn run<R>(
+        self,
+        ctx: &WorkerCtx<'_>,
+        body: impl FnOnce() -> Result<R, JobError>,
+        complete: impl FnOnce(Result<R, JobError>),
+    ) {
+        let result = catch_unwind(AssertUnwindSafe(body)).unwrap_or(Err(JobError::Panicked));
+        self.finish(ctx, result, complete);
+    }
+
+    /// The one completion routine: count the outcome, free the job's slot
+    /// (spawning whatever the scheduler admits in its place), then hand
+    /// `result` to the waiter through `complete`.
+    fn finish<R>(
+        &self,
+        ctx: &WorkerCtx<'_>,
+        result: Result<R, JobError>,
+        complete: impl FnOnce(Result<R, JobError>),
+    ) {
+        self.counters.finish(&result);
+        for job in self.adm.finished(self.id) {
+            ctx.spawn(job);
+        }
+        complete(result);
     }
 }
 
@@ -847,9 +624,7 @@ struct PreemptibleRun<P: BlockProgram> {
     core: Arc<JobCore<P::Reducer>>,
     token: CancelToken,
     flag: PreemptFlag,
-    adm: Arc<Admission>,
-    counters: Arc<Counters>,
-    id: JobId,
+    retire: Retire,
 }
 
 /// How one run segment of a preemptible job ended.
@@ -887,37 +662,27 @@ where
         }
         Segment::Done(sched.into_output())
     }));
-    match outcome {
+    let result = match outcome {
         Ok(Segment::Parked(frontier)) => {
             let tasks = frontier.tasks();
+            let (adm, id) = (Arc::clone(&run.retire.adm), run.retire.id);
             // arg = job id so the exporter can pair this with the
             // scheduler's Resume event into one cross-worker async span.
             // Recorded *before* `adm.parked` — the matching Resume action
             // cannot fire until the core learns of the park.
-            tb_obs::record(EventKind::Park, tasks as u32, run.id);
+            tb_obs::record(EventKind::Park, tasks as u32, id);
             run.frontier = Some(frontier);
-            let (adm, id) = (Arc::clone(&run.adm), run.id);
-            let cont: crate::sched::ReadyJob =
-                Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx));
+            let cont: ReadyJob = Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx));
             for job in adm.parked(id, tasks, cont) {
                 ctx.spawn(job);
             }
+            return;
         }
         Ok(Segment::Done(out)) => {
-            tb_obs::record(EventKind::JobDone, 0, run.id);
-            let result = if run.token.is_cancelled() { Err(JobError::Cancelled) } else { Ok(out.reducer) };
-            run.counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-            for job in run.adm.finished(run.id) {
-                ctx.spawn(job);
-            }
-            run.core.complete(result);
+            tb_obs::record(EventKind::JobDone, 0, run.retire.id);
+            reduction(out, &run.token)
         }
-        Err(_) => {
-            run.counters.finish(&Err(JobError::Panicked));
-            for job in run.adm.finished(run.id) {
-                ctx.spawn(job);
-            }
-            run.core.complete(Err(JobError::Panicked));
-        }
-    }
+        Err(_) => Err(JobError::Panicked),
+    };
+    run.retire.finish(ctx, result, |result| run.core.complete(result));
 }

@@ -689,19 +689,18 @@ impl Admission {
         Arc::clone(&self.gates.lock()[tenant as usize])
     }
 
-    /// Accept a job whose gate slot is already held. `make_job` builds the
-    /// body from the assigned id (so the body can report completion).
-    /// Returns the id plus any jobs the caller must spawn.
+    /// Accept a job whose gate slot is already held; a preempt `flag`
+    /// marks it preemptible. `make_job` builds the body from the assigned
+    /// id (so the body can report completion). Returns the id plus any
+    /// jobs the caller must spawn.
     pub(crate) fn enqueue(
         &self,
         tenant: TenantId,
-        preemptible: bool,
         flag: Option<PreemptFlag>,
         make_job: impl FnOnce(JobId) -> ReadyJob,
     ) -> (JobId, Vec<ReadyJob>) {
-        debug_assert_eq!(preemptible, flag.is_some(), "preemptible jobs carry a preempt flag");
         let mut state = self.state.lock();
-        let id = state.core.submit(tenant, preemptible);
+        let id = state.core.submit(tenant, flag.is_some());
         state.slots.insert(id, Slot::Waiting { job: make_job(id), flag });
         state.submitted_at.insert(id, Instant::now());
         let ready = Self::apply(&mut state);
@@ -882,9 +881,9 @@ mod tests {
         let low = adm.add_tenant(TenantSpec::new("low", 8));
         let high = adm.add_tenant(TenantSpec::new("high", 8).priority(1));
         let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
-        let (_, ready) = adm.enqueue(low, true, Some(Arc::clone(&flag)), |_| Box::new(|_| {}));
+        let (_, ready) = adm.enqueue(low, Some(Arc::clone(&flag)), |_| Box::new(|_| {}));
         assert_eq!(ready.len(), 1, "empty pool admits immediately");
-        let (_, ready) = adm.enqueue(high, false, None, |_| Box::new(|_| {}));
+        let (_, ready) = adm.enqueue(high, None, |_| Box::new(|_| {}));
         assert!(ready.is_empty(), "saturated: high-priority job must wait for the park");
         assert!(flag.load(Ordering::Acquire), "victim's preempt flag must be set");
     }

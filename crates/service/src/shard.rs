@@ -63,10 +63,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use tb_core::{BlockProgram, SchedConfig, SchedulerKind};
+use tb_core::{SchedConfig, SchedulerKind};
 use tb_spec::SpecTier;
 
 use crate::handle::JobHandle;
+use crate::request::{JobRequest, Payload, SpecJob};
 use crate::runtime::{Runtime, RuntimeConfig, ServiceStats, DEFAULT_TENANT};
 use crate::sched::{TenantId, TenantSpec};
 
@@ -524,9 +525,9 @@ struct ShardedInner {
 /// N independent [`Runtime`]s behind one placement layer. Cloning is
 /// cheap and shares the shards.
 ///
-/// Every submission entry point routes through the [`PlacementCore`]
-/// first; the chosen shard's own admission scheduler then applies the
-/// tenant's weight/priority exactly as a standalone runtime would. All
+/// Every submission routes through the [`PlacementCore`] once; the
+/// chosen shard's own admission scheduler then applies the tenant's
+/// weight/priority exactly as a standalone runtime would. All
 /// tenants must be registered through [`ShardedRuntime::register_tenant`]
 /// (which registers them identically on every shard, keeping the dense id
 /// spaces aligned).
@@ -602,124 +603,46 @@ impl ShardedRuntime {
         affinity_shard(tenant, self.inner.shards.len())
     }
 
-    /// Submit `prog` as the default tenant (blocking path; see
-    /// [`ShardedRuntime::submit_as`]).
-    pub fn submit<P>(&self, prog: P, cfg: SchedConfig, kind: SchedulerKind) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// Blocking submission for `tenant`: the placement core routes to the
-    /// policy's preferred shard, and saturation blocks on that shard's
-    /// tenant gate (backpressure, exactly as on a standalone runtime).
+    /// Serve `req` on the blocking path: the placement core routes it to
+    /// the policy's preferred shard, and saturation blocks on that shard's
+    /// tenant gate (backpressure, exactly as on a standalone runtime). A
+    /// rejected spec retires its booking — it never wedges the placement
+    /// accounting.
     ///
     /// # Panics
-    /// If `tenant` was never registered.
-    pub fn submit_as<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        let shard = self.place_blocking(tenant);
-        self.inner.shards[shard as usize].submit_as(tenant, prog, cfg, kind)
+    /// If `req.tenant` was never registered.
+    pub fn submit<J: Payload>(&self, req: JobRequest<J>) -> JobHandle<J::Output> {
+        let shard = self.place_blocking(req.tenant);
+        self.inner.shards[shard as usize].submit(req)
     }
 
-    /// Shedding submission as the default tenant.
-    pub fn try_submit<P>(
-        &self,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.try_submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// Shedding submission for `tenant`: overflow on the preferred shard
+    /// Serve `req` on the shedding path: overflow on the preferred shard
     /// re-routes to the least-loaded sibling with room; with every shard
-    /// full the program is handed back unchanged.
+    /// full the payload is handed back unchanged. `Err` means capacity —
+    /// a malformed spec still returns `Ok` with a
+    /// [`crate::JobError::Rejected`] handle.
+    ///
+    /// Unlike [`Runtime::try_submit`], a shedding submission never
+    /// triggers preemption here: placement counts parked and running jobs
+    /// against the shard's `max_inflight` and refuses before the shard's
+    /// admission scheduler could park a lower-priority job for it. A
+    /// higher-priority tenant that must preempt uses [`ShardedRuntime::submit`].
     ///
     /// # Panics
-    /// If `tenant` was never registered.
-    pub fn try_submit_as<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        let Some(shard) = self.place_try(tenant) else { return Err(prog) };
-        match self.inner.shards[shard as usize].try_submit_as(tenant, prog, cfg, kind) {
-            Ok(h) => Ok(h),
-            Err(prog) => {
-                // The core's bookkeeping mirrors the gates exactly, so
-                // this refusal should be unreachable; withdraw the booking
-                // and shed to the caller rather than trusting it silently.
-                self.inner.core.lock().abandon(shard, tenant);
-                Err(prog)
-            }
-        }
+    /// If `req.tenant` was never registered.
+    pub fn try_submit<J: Payload>(&self, req: JobRequest<J>) -> Result<JobHandle<J::Output>, J> {
+        let tenant = req.tenant;
+        let Some(shard) = self.place_try(tenant) else { return Err(req.job) };
+        // The core's bookkeeping mirrors the gates exactly, so a refusal
+        // here should be unreachable; withdraw the booking and shed to the
+        // caller rather than trusting it silently.
+        self.inner.shards[shard as usize]
+            .try_submit(req)
+            .inspect_err(|_| self.inner.core.lock().abandon(shard, tenant))
     }
 
-    /// Submit spec source as the default tenant at [`SpecTier::Auto`].
-    pub fn submit_spec(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_tier_as(DEFAULT_TENANT, source, args, cfg, kind, SpecTier::Auto)
-    }
-
-    /// Blocking spec submission for `tenant` at an explicit tier, routed
-    /// like [`ShardedRuntime::submit_as`]. Parse/validate failures
-    /// complete the handle with [`crate::JobError::Rejected`] (the shard's
-    /// caret diagnostic) and retire the booking — they never wedge the
-    /// placement accounting.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn submit_spec_tier_as(
-        &self,
-        tenant: TenantId,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        let shard = self.place_blocking(tenant);
-        self.inner.shards[shard as usize].submit_spec_foreach_tier_as(
-            tenant,
-            source,
-            vec![args],
-            cfg,
-            kind,
-            tier,
-        )
-    }
-
-    /// Shedding spec submission for `tenant` at an explicit tier, routed
-    /// like [`ShardedRuntime::try_submit_as`]: `Err` hands the root args
-    /// back and means *capacity* (every shard full) — a malformed source
-    /// still returns `Ok` with a [`crate::JobError::Rejected`] handle.
+    /// [`ShardedRuntime::try_submit`] of one spec root call, handing the
+    /// root args back on `Err` — the wire front-end's request path.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -732,21 +655,8 @@ impl ShardedRuntime {
         kind: SchedulerKind,
         tier: SpecTier,
     ) -> Result<JobHandle<i64>, Vec<i64>> {
-        let Some(shard) = self.place_try(tenant) else { return Err(args) };
-        match self.inner.shards[shard as usize].try_submit_spec_foreach_tier_as(
-            tenant,
-            source,
-            vec![args],
-            cfg,
-            kind,
-            tier,
-        ) {
-            Ok(h) => Ok(h),
-            Err(mut calls) => {
-                self.inner.core.lock().abandon(shard, tenant);
-                Err(calls.pop().expect("one root call was passed"))
-            }
-        }
+        let req = JobRequest::new(SpecJob::call(source, args).tier(tier), cfg, kind).tenant(tenant);
+        self.try_submit(req).map_err(|mut job| job.calls.pop().expect("one root call was passed"))
     }
 
     /// Rolled-up stats: every shard's [`ServiceStats`] plus the placement

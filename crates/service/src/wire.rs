@@ -31,6 +31,12 @@
 //! [`MAX_CONNECTIONS`] concurrent connections (the next one is refused
 //! with `ERR` and closed).
 //!
+//! `STATS` answers `OK <id> shards= submitted= placed= shed= rejected=
+//! completed= inflight= failed=`: the first four are placement counters,
+//! `completed` counts jobs that returned a value and `failed` those that
+//! did not (cancelled, panicked or rejected specs), so at quiescence
+//! `placed + shed == completed + failed`. New keys are only ever appended.
+//!
 //! # Backpressure and shedding
 //!
 //! Each connection is served **serially**: one in-flight job per
@@ -275,7 +281,8 @@ impl ServerInner {
                 let snap = self.rt.snapshot();
                 let p = snap.placement;
                 format!(
-                    "OK {id} shards={} submitted={} placed={} shed={} rejected={} completed={} inflight={}",
+                    "OK {id} shards={} submitted={} placed={} shed={} rejected={} completed={} inflight={} \
+                     failed={}",
                     snap.shards.len(),
                     p.submitted,
                     p.placed,
@@ -283,6 +290,7 @@ impl ServerInner {
                     p.rejected,
                     snap.completed(),
                     snap.inflight(),
+                    snap.failed(),
                 )
             }
             Request::Shutdown => {
@@ -302,7 +310,8 @@ enum Frame {
     TooLong,
     /// The line was not UTF-8.
     NotUtf8,
-    /// Server drain began while idle between requests.
+    /// Server drain began while waiting for input (between requests or
+    /// mid-line; a half-received line is dropped).
     Draining,
 }
 
@@ -315,7 +324,9 @@ fn read_frame(r: &mut BufReader<TcpStream>, draining: &AtomicBool) -> io::Result
         let available = match r.fill_buf() {
             Ok(b) => b,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if draining.load(Ordering::Acquire) && buf.is_empty() {
+                // A half-received line is dropped once draining: a peer
+                // that goes quiet mid-line must not hold the drain open.
+                if draining.load(Ordering::Acquire) {
                     return Ok(Frame::Draining);
                 }
                 continue;

@@ -1,88 +1,155 @@
-//! Integration tests for the service layer: multi-tenant submission,
-//! cooperative cancellation, handle drop (detach), backpressure, and bulk
-//! chunking — the behaviours a long-lived shared runtime must not get
-//! wrong under concurrent clients.
+//! Integration tests for the service layer's one submission path: every
+//! request shape on both runtime types (table-driven), cooperative
+//! cancellation, handle drop (detach), bulk chunking, closure jobs and
+//! spec-source jobs — the behaviours a long-lived shared runtime must not
+//! get wrong under concurrent clients.
 
+mod support;
+
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use support::{await_until, cfg, CountingTree, Plug, Rt, Tree, FIB_SRC};
 use tb_core::prelude::*;
-use tb_service::{JobError, Runtime, RuntimeConfig};
+use tb_service::{
+    JobError, JobRequest, Payload, Runtime, RuntimeConfig, SpecJob, TenantId, TenantSpec, DEFAULT_TENANT,
+};
 
-/// Count the leaves of a depth-n binary tree: 2^n leaves, known answer,
-/// exponential work — ideal for "did it actually run / stop" checks.
-struct Tree(u32);
+/// One submission shape: which runtime type serves it, whether it blocks
+/// or sheds at capacity, what it runs, who submits it, and whether it is
+/// preemptible.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    sharded: bool,
+    shed: bool,
+    spec: bool,
+    registered: bool,
+    preemptible: bool,
+}
 
-impl BlockProgram for Tree {
-    type Store = Vec<u32>;
-    type Reducer = u64;
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn make_root(&self) -> Vec<u32> {
-        vec![self.0]
-    }
-
-    fn make_reducer(&self) -> u64 {
-        0
-    }
-
-    fn merge_reducers(&self, a: &mut u64, b: u64) {
-        *a += b;
-    }
-
-    fn expand(&self, block: &mut Vec<u32>, out: &mut BucketSet<Vec<u32>>, red: &mut u64) {
-        for n in block.drain(..) {
-            if n == 0 {
-                *red += 1;
-            } else {
-                out.bucket(0).push(n - 1);
-                out.bucket(1).push(n - 1);
-            }
+/// (blocking | shedding) × (program | spec) × (default | registered
+/// tenant) × (preemptible or not), on both runtime types: every shape runs
+/// on an idle runtime, rejects bad specs without taking a gate slot, and at
+/// capacity either blocks until a slot frees (counted as a backpressure
+/// wait) or hands its payload back unchanged — `Err` only on capacity.
+#[test]
+fn every_submission_shape_runs_blocks_or_sheds_and_rejects_without_a_slot() {
+    for bits in 0..32u8 {
+        let shape = Shape {
+            sharded: bits & 1 != 0,
+            shed: bits & 2 != 0,
+            spec: bits & 4 != 0,
+            registered: bits & 8 != 0,
+            preemptible: bits & 16 != 0,
+        };
+        if shape.spec {
+            check_shape(shape, || SpecJob::call(FIB_SRC, vec![10]), 55);
+        } else {
+            check_shape(shape, || Tree(10), 1 << 10);
         }
     }
 }
 
-/// A tree whose expansion also ticks a shared counter, so tests can observe
-/// whether work kept happening after a cancel/drop.
-struct CountingTree {
-    depth: u32,
-    ticks: Arc<AtomicU64>,
-}
+fn check_shape<J>(shape: Shape, job: impl Fn() -> J + Sync, want: J::Output)
+where
+    J: Payload + PartialEq + Debug,
+    J::Output: PartialEq + Debug + Copy,
+{
+    // One worker, one slot, one-slot tenants: a single plug saturates.
+    let rt =
+        Rt::new(shape.sharded, RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 2, fifo: false });
+    let tenant = if shape.registered { rt.register(TenantSpec::new("client", 1)) } else { DEFAULT_TENANT };
+    let req = |job| request(shape, tenant, job);
+    let admitted = |h: Result<_, J>| h.unwrap_or_else(|back| panic!("{shape:?}: shed {back:?} with room"));
 
-impl BlockProgram for CountingTree {
-    type Store = Vec<u32>;
-    type Reducer = u64;
+    // An idle runtime runs the job.
+    assert_eq!(admitted(rt.serve(shape.shed, req(job()))).wait(), Ok(want), "{shape:?}");
 
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn make_root(&self) -> Vec<u32> {
-        vec![self.depth]
-    }
-
-    fn make_reducer(&self) -> u64 {
-        0
-    }
-
-    fn merge_reducers(&self, a: &mut u64, b: u64) {
-        *a += b;
-    }
-
-    fn expand(&self, block: &mut Vec<u32>, out: &mut BucketSet<Vec<u32>>, red: &mut u64) {
-        self.ticks.fetch_add(block.len() as u64, Ordering::Relaxed);
-        for n in block.drain(..) {
-            if n == 0 {
-                *red += 1;
-            } else {
-                out.bucket(0).push(n - 1);
-                out.bucket(1).push(n - 1);
+    // A malformed or mis-called spec completes at once as Rejected — an
+    // `Ok` handle even when shedding — and never occupies a gate slot.
+    if shape.spec {
+        let before = rt.stats();
+        for (source, args, says) in [
+            (
+                "spec f(n) { base (n < 2) { reduce n; } else { spawn g(n - 1); } }",
+                vec![5],
+                ["self-recursive", "^"],
+            ),
+            (FIB_SRC, vec![10, 3], ["2 args", "1 params"]),
+        ] {
+            let h = rt.serve(shape.shed, request(shape, tenant, SpecJob::call(source, args)));
+            let h = h.unwrap_or_else(|_| panic!("{shape:?}: a rejection is not a capacity Err"));
+            assert!(h.is_finished(), "{shape:?}: rejection completes the handle immediately");
+            match h.wait() {
+                Err(JobError::Rejected(msg)) => {
+                    assert!(says.iter().all(|s| msg.contains(s)), "{shape:?}: {msg}")
+                }
+                other => panic!("{shape:?}: expected a rejection, got {other:?}"),
             }
         }
+        let after = rt.stats();
+        assert_eq!(after.rejected, before.rejected + 2, "{shape:?}");
+        assert_eq!(after.submitted, before.submitted, "{shape:?}: rejected specs never occupy a gate slot");
+    }
+
+    // Plug the tenant's only slot, then meet the full gate.
+    let plug = Plug::default();
+    let plug_h = rt.submit(JobRequest::new(plug.program(), cfg(), SchedulerKind::Seq).tenant(tenant));
+    plug.await_started();
+    if shape.shed {
+        match rt.try_submit(req(job())) {
+            Err(back) => assert_eq!(back, job(), "{shape:?}: the payload comes back unchanged"),
+            Ok(_) => panic!("{shape:?}: admitted past a full gate"),
+        }
+        plug.release();
+        assert_eq!(plug_h.wait(), Ok(1));
+        assert_eq!(admitted(rt.try_submit(req(job()))).wait(), Ok(want), "{shape:?}: the freed slot admits");
+    } else {
+        let waits = rt.stats().backpressure_waits;
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| rt.submit(req(job())).wait());
+            await_until("the submitter to block on the gate", || rt.stats().backpressure_waits > waits);
+            plug.release();
+            assert_eq!(blocked.join().unwrap(), Ok(want), "{shape:?}");
+        });
+        assert_eq!(plug_h.wait(), Ok(1));
+    }
+    rt.audit_quiescent();
+}
+
+/// `job` as `tenant`'s request under `shape`.
+fn request<K: Payload>(shape: Shape, tenant: TenantId, job: K) -> JobRequest<K> {
+    let req = JobRequest::new(job, cfg(), SchedulerKind::Seq).tenant(tenant);
+    if shape.preemptible {
+        req.preemptible()
+    } else {
+        req
+    }
+}
+
+/// Every scheduler kind serves both payloads on both runtime types; the
+/// spec source compiles once per runtime and every resubmission hits the
+/// cache.
+#[test]
+fn every_kind_serves_programs_and_specs() {
+    for rt in Rt::both(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() }) {
+        for kind in SchedulerKind::ALL {
+            let tree = rt.submit(JobRequest::new(Tree(12), SchedConfig::restart(4, 64, 16), kind));
+            let fib = rt.submit(JobRequest::new(
+                SpecJob::call(FIB_SRC, vec![18]),
+                SchedConfig::restart(4, 64, 16),
+                kind,
+            ));
+            assert_eq!(tree.wait(), Ok(1 << 12), "{rt:?} {kind:?}");
+            assert_eq!(fib.wait(), Ok(2584), "{rt:?} {kind:?}");
+        }
+        let stats = rt.stats();
+        assert_eq!(stats.spec_compiles, 1, "{rt:?}: compiled once");
+        assert_eq!(stats.spec_cache_hits, 4, "{rt:?}: four resubmissions hit the cache");
+        assert_eq!(stats.rejected, 0);
+        rt.audit_quiescent();
     }
 }
 
@@ -92,12 +159,13 @@ fn mixed_schedulers_coexist_on_one_pool() {
     let mut handles = Vec::new();
     for round in 0..4u32 {
         let depth = 8 + round;
-        handles.push((depth, rt.submit(Tree(depth), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)));
-        handles.push((
-            depth,
-            rt.submit(Tree(depth), SchedConfig::restart(4, 64, 16), SchedulerKind::RestartSimplified),
-        ));
-        handles.push((depth, rt.submit(Tree(depth), SchedConfig::reexpansion(4, 64), SchedulerKind::Seq)));
+        for (cfg, kind) in [
+            (SchedConfig::basic(4, 64), SchedulerKind::ReExpansion),
+            (SchedConfig::restart(4, 64, 16), SchedulerKind::RestartSimplified),
+            (SchedConfig::reexpansion(4, 64), SchedulerKind::Seq),
+        ] {
+            handles.push((depth, rt.submit(JobRequest::new(Tree(depth), cfg, kind))));
+        }
     }
     for (depth, h) in handles {
         assert_eq!(h.wait(), Ok(1u64 << depth), "depth {depth}");
@@ -123,7 +191,7 @@ fn concurrent_clients_hammer_one_runtime() {
                     } else {
                         SchedulerKind::RestartSimplified
                     };
-                    let h = rt.submit(Tree(depth), SchedConfig::restart(4, 32, 8), kind);
+                    let h = rt.submit(JobRequest::new(Tree(depth), SchedConfig::restart(4, 32, 8), kind));
                     assert_eq!(h.wait(), Ok(1u64 << depth));
                 }
             });
@@ -140,11 +208,11 @@ fn cancellation_stops_expansion_promptly() {
     let ticks = Arc::new(AtomicU64::new(0));
     // Depth 40: ~2^40 leaves, would run for hours — cancellation is the
     // only way this test can finish.
-    let h = rt.submit(
+    let h = rt.submit(JobRequest::new(
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
         SchedulerKind::ReExpansion,
-    );
+    ));
     // Let it get going, then cancel.
     while ticks.load(Ordering::Relaxed) < 1000 {
         std::hint::spin_loop();
@@ -164,11 +232,11 @@ fn cancellation_stops_expansion_promptly() {
 fn dropping_a_handle_mid_run_detaches_without_wedging() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 2, ..RuntimeConfig::default() });
     let ticks = Arc::new(AtomicU64::new(0));
-    let h = rt.submit(
+    let h = rt.submit(JobRequest::new(
         CountingTree { depth: 18, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 64),
         SchedulerKind::ReExpansion,
-    );
+    ));
     drop(h); // detach: the run continues and must release its gate slot
     let deadline = Instant::now() + Duration::from_secs(60);
     while rt.stats().completed < 1 {
@@ -178,7 +246,7 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
     assert_eq!(ticks.load(Ordering::Relaxed), (1u64 << 19) - 1, "detached job ran to completion");
     assert_eq!(rt.stats().inflight, 0, "gate slot leaked by dropped handle");
     // The runtime is still fully usable afterwards.
-    let h = rt.submit(Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit(JobRequest::new(Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion));
     assert_eq!(h.wait(), Ok(1 << 10));
 }
 
@@ -186,11 +254,11 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
 fn dropping_a_cancelled_handle_is_also_clean() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 2, ..RuntimeConfig::default() });
     let ticks = Arc::new(AtomicU64::new(0));
-    let h = rt.submit(
+    let h = rt.submit(JobRequest::new(
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
         SchedulerKind::ReExpansion,
-    );
+    ));
     while ticks.load(Ordering::Relaxed) < 100 {
         std::hint::spin_loop();
     }
@@ -202,36 +270,6 @@ fn dropping_a_cancelled_handle_is_also_clean() {
         std::thread::yield_now();
     }
     assert_eq!(rt.stats().inflight, 0);
-}
-
-#[test]
-fn backpressure_blocks_then_releases() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
-    // Fill the single slot with a slow job, then submit another: the
-    // second submit must block until the first completes.
-    let slow = rt.submit(Tree(18), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    let fast = rt.submit(Tree(4), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    assert_eq!(fast.wait(), Ok(16));
-    assert_eq!(slow.wait(), Ok(1 << 18));
-    assert!(rt.stats().backpressure_waits >= 1, "the second submit should have hit the gate");
-}
-
-#[test]
-fn try_submit_sheds_load_when_saturated() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
-    let slow = rt.submit(Tree(20), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    // The slot is taken (the job may already be running, but it has not
-    // completed): try_submit must bounce and return the program.
-    match rt.try_submit(Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion) {
-        Err(prog) => assert_eq!(prog.0, 5, "program handed back intact"),
-        Ok(_) => panic!("try_submit admitted past a full gate"),
-    }
-    assert_eq!(slow.wait(), Ok(1 << 20));
-    // Slot free again: admission works.
-    let h = rt
-        .try_submit(Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)
-        .unwrap_or_else(|_| panic!("gate should be free"));
-    assert_eq!(h.wait(), Ok(32));
 }
 
 #[test]
@@ -295,14 +333,22 @@ fn panicking_program_is_contained() {
             panic!("bomb");
         }
     }
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit(Bomb, SchedConfig::basic(4, 64), SchedulerKind::Seq);
-    assert_eq!(h.wait(), Err(JobError::Panicked));
-    assert_eq!(rt.stats().panicked, 1);
-    assert_eq!(rt.stats().inflight, 0, "panicked job released its slot");
-    // Pool workers survived; the runtime still serves.
-    let h = rt.submit(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    assert_eq!(h.wait(), Ok(256));
+    // Both runtime types, and the preemptible stepping engine as well as
+    // the scheduler run: each contains the panic the same way.
+    for rt in Rt::both(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() }) {
+        for preemptible in [false, true] {
+            let req = JobRequest::new(Bomb, SchedConfig::basic(4, 64), SchedulerKind::Seq);
+            let h = rt.submit(if preemptible { req.preemptible() } else { req });
+            assert_eq!(h.wait(), Err(JobError::Panicked), "{rt:?} preemptible={preemptible}");
+            assert_eq!(rt.stats().inflight, 0, "panicked job released its slot");
+            // Pool workers survived; the runtime still serves.
+            let h =
+                rt.submit(JobRequest::new(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion));
+            assert_eq!(h.wait(), Ok(256));
+        }
+        assert_eq!(rt.stats().panicked, 2);
+        rt.audit_quiescent();
+    }
 }
 
 #[test]
@@ -335,78 +381,8 @@ fn panicking_bulk_chunk_builder_is_contained() {
     assert_eq!(stats.inflight, 0, "panicked chunks must release their gate slots");
     assert_eq!(stats.panicked as usize, results.len());
     // Runtime still serves.
-    let h = rt.submit(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit(JobRequest::new(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion));
     assert_eq!(h.wait(), Ok(256));
-}
-
-// ---------------------------------------------------------------------------
-// The spec-source submission path: clients ship programs as text.
-// ---------------------------------------------------------------------------
-
-const FIB_SRC: &str = "spec fib(n) {
-  base (n < 2) { reduce n; }
-  else { spawn fib(n - 1); spawn fib(n - 2); }
-}";
-
-#[test]
-fn spec_source_jobs_run_under_every_kind() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    for kind in SchedulerKind::ALL {
-        let h = rt.submit_spec(FIB_SRC, vec![18], SchedConfig::restart(4, 64, 16), kind);
-        assert_eq!(h.wait(), Ok(2584), "{kind:?}");
-    }
-    let stats = rt.stats();
-    assert_eq!(stats.spec_compiles, 1, "compiled once");
-    assert_eq!(stats.spec_cache_hits, 4, "four resubmissions hit the cache");
-    assert_eq!(stats.rejected, 0);
-}
-
-#[test]
-fn spec_foreach_submission_strip_mines_many_roots() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 3, max_inflight: 8, ..RuntimeConfig::default() });
-    let calls: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 10]).collect();
-    // sum of fib(0..=9) cycled 20 times: (fib(11) - 1) * 20
-    let h = rt.submit_spec_foreach(FIB_SRC, calls, SchedConfig::basic(8, 32), SchedulerKind::ReExpansion);
-    assert_eq!(h.wait(), Ok(88 * 20));
-}
-
-#[test]
-fn malformed_spec_source_is_rejected_not_panicked() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(
-        "spec f(n) { base (n < 2) { reduce n; } else { spawn g(n - 1); } }",
-        vec![5],
-        SchedConfig::basic(4, 64),
-        SchedulerKind::ReExpansion,
-    );
-    assert!(h.is_finished(), "rejection completes the handle immediately");
-    match h.wait() {
-        Err(JobError::Rejected(msg)) => {
-            assert!(msg.contains("self-recursive"), "diagnostic names the violation: {msg}");
-            assert!(msg.contains('^'), "diagnostic carries the caret line: {msg}");
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
-    let stats = rt.stats();
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.submitted, 0, "rejected specs never occupy a gate slot");
-    assert_eq!(stats.inflight, 0);
-    // The runtime still serves after a rejection.
-    let h = rt.submit_spec(FIB_SRC, vec![10], SchedConfig::basic(4, 64), SchedulerKind::Seq);
-    assert_eq!(h.wait(), Ok(55));
-}
-
-#[test]
-fn wrong_root_arity_is_rejected_with_a_message() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(FIB_SRC, vec![10, 3], SchedConfig::basic(4, 64), SchedulerKind::Seq);
-    match h.wait() {
-        Err(JobError::Rejected(msg)) => {
-            assert!(msg.contains("2 args") && msg.contains("1 params"), "{msg}");
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
-    assert_eq!(rt.stats().rejected, 1);
 }
 
 #[test]
@@ -417,7 +393,8 @@ fn spec_cache_is_shared_across_concurrent_clients() {
             let rt = rt.clone();
             s.spawn(move || {
                 for n in [8i64, 10, 12] {
-                    let h = rt.submit_spec(FIB_SRC, vec![n], SchedConfig::basic(4, 32), SchedulerKind::Seq);
+                    let fib = SpecJob::call(FIB_SRC, vec![n]);
+                    let h = rt.submit(JobRequest::new(fib, SchedConfig::basic(4, 32), SchedulerKind::Seq));
                     let want = [21, 55, 144][[8, 10, 12].iter().position(|&x| x == n).unwrap()];
                     assert_eq!(h.wait(), Ok(want));
                 }
@@ -444,9 +421,17 @@ fn hostile_spec_source_cannot_kill_the_runtime() {
         "(".repeat(50_000),
         ")".repeat(50_000)
     );
-    let h = rt.submit_spec(&hostile, vec![5], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit(JobRequest::new(
+        SpecJob::call(&hostile, vec![5]),
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+    ));
     assert!(matches!(h.wait(), Err(JobError::Rejected(_))));
     // The runtime survives and still serves.
-    let h = rt.submit_spec(FIB_SRC, vec![10], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit(JobRequest::new(
+        SpecJob::call(FIB_SRC, vec![10]),
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+    ));
     assert_eq!(h.wait(), Ok(55));
 }

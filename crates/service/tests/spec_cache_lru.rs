@@ -1,4 +1,4 @@
-//! Regression tests for the `submit_spec` compile cache's LRU eviction
+//! Regression tests for the spec-job compile cache's LRU eviction
 //! (the ROADMAP "spec-cache eviction" item) and for the execution-tier
 //! knob threaded through the spec submission path.
 //!
@@ -10,8 +10,11 @@
 //! through the public `ServiceStats` counters (`spec_compiles` counts
 //! misses, `spec_cache_hits` counts hits).
 
+mod support;
+
+use support::Rt;
 use tb_core::{SchedConfig, SchedulerKind};
-use tb_service::{Runtime, RuntimeConfig};
+use tb_service::{JobHandle, JobRequest, Runtime, RuntimeConfig, SpecJob};
 use tb_spec::SpecTier;
 
 /// Matches `SPEC_CACHE_CAP` in `tb-service`; the tests below fill exactly
@@ -29,22 +32,23 @@ fn cold_src(i: usize) -> String {
     format!("spec cold(n) {{ base (0 < 1) {{ reduce {i}; }} else {{ spawn cold(n - 1); }} }}")
 }
 
-fn tiny_cfg() -> SchedConfig {
-    SchedConfig::basic(4, 32)
+/// `source` called on `args` under the sequential scheduler.
+fn spec(rt: &Runtime, source: &str, args: Vec<i64>) -> JobHandle<i64> {
+    rt.submit(JobRequest::new(SpecJob::call(source, args), SchedConfig::basic(4, 32), SchedulerKind::Seq))
 }
 
 #[test]
 fn hot_source_survives_a_cap_of_cold_ones() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+    let h = spec(&rt, HOT_SRC, vec![8]);
     assert_eq!(h.wait(), Ok(21));
     // Interleave CAP distinct cold sources with hot resubmissions: the
     // hot entry is always the most recently used, so LRU eviction must
     // sacrifice cold entries around it, never the hot one.
     for i in 0..CAP {
-        let c = rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq);
+        let c = spec(&rt, &cold_src(i), vec![0]);
         assert_eq!(c.wait(), Ok(i as i64));
-        let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+        let h = spec(&rt, HOT_SRC, vec![8]);
         assert_eq!(h.wait(), Ok(21));
     }
     let stats = rt.stats();
@@ -61,11 +65,11 @@ fn late_arriving_hot_source_displaces_a_cold_one() {
     // and serves every subsequent submission from the cache.
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     for i in 0..CAP {
-        let c = rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq);
+        let c = spec(&rt, &cold_src(i), vec![0]);
         assert_eq!(c.wait(), Ok(i as i64));
     }
     for _ in 0..3 {
-        let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+        let h = spec(&rt, HOT_SRC, vec![8]);
         assert_eq!(h.wait(), Ok(21));
     }
     let stats = rt.stats();
@@ -78,40 +82,48 @@ fn eviction_victim_is_the_least_recently_used() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     // Fill to capacity, then touch source 0 so source 1 becomes the LRU.
     for i in 0..CAP {
-        rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+        spec(&rt, &cold_src(i), vec![0]).wait().unwrap();
     }
-    rt.submit_spec(&cold_src(0), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    spec(&rt, &cold_src(0), vec![0]).wait().unwrap();
     // One newcomer evicts exactly one entry — the LRU, source 1.
-    rt.submit_spec(HOT_SRC, vec![2], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    spec(&rt, HOT_SRC, vec![2]).wait().unwrap();
     let compiles_before = rt.stats().spec_compiles;
     // Source 0 (touched) and the newcomer are still cached…
-    rt.submit_spec(&cold_src(0), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
-    rt.submit_spec(HOT_SRC, vec![2], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    spec(&rt, &cold_src(0), vec![0]).wait().unwrap();
+    spec(&rt, HOT_SRC, vec![2]).wait().unwrap();
     assert_eq!(rt.stats().spec_compiles, compiles_before, "touched and new entries survived");
     // …while source 1 was evicted and recompiles.
-    rt.submit_spec(&cold_src(1), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    spec(&rt, &cold_src(1), vec![0]).wait().unwrap();
     assert_eq!(rt.stats().spec_compiles, compiles_before + 1, "the LRU entry was the victim");
 }
 
+/// Every execution tier computes the same value from one shared lowered
+/// `SpecCode`, for single calls and for a `foreach` strip-mined over many
+/// roots, on both runtime types.
 #[test]
 fn execution_tiers_agree_and_share_the_cache() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    let cfg = SchedConfig::restart(4, 64, 16);
-    let mut results = Vec::new();
-    for tier in [SpecTier::Auto, SpecTier::Scalar, SpecTier::Simd] {
-        let h = rt.submit_spec_tier(HOT_SRC, vec![17], cfg, SchedulerKind::ReExpansion, tier);
-        results.push(h.wait().unwrap_or_else(|e| panic!("{tier:?}: {e:?}")));
-    }
-    assert_eq!(results, vec![1597, 1597, 1597], "all tiers are bit-identical");
-    let stats = rt.stats();
-    assert_eq!(stats.spec_compiles, 1, "tiers share one lowered SpecCode");
-    assert_eq!(stats.spec_cache_hits, 2);
+    for rt in Rt::both(RuntimeConfig { threads: 3, max_inflight: 8, ..RuntimeConfig::default() }) {
+        let cfg = SchedConfig::restart(4, 64, 16);
+        let tiers = [SpecTier::Auto, SpecTier::Scalar, SpecTier::Simd];
+        for tier in tiers {
+            let h = rt.submit(JobRequest::new(
+                SpecJob::call(HOT_SRC, vec![17]).tier(tier),
+                cfg,
+                SchedulerKind::ReExpansion,
+            ));
+            assert_eq!(h.wait(), Ok(1597), "{rt:?} {tier:?}: all tiers are bit-identical");
+        }
+        let stats = rt.stats();
+        assert_eq!(stats.spec_compiles, 1, "{rt:?}: tiers share one lowered SpecCode");
+        assert_eq!(stats.spec_cache_hits, 2);
 
-    // The foreach path honors the tier knob too.
-    let calls: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 10]).collect();
-    let want = 88 * 5; // sum fib(0..=9) = fib(11) - 1 = 88, cycled 5 times
-    for tier in [SpecTier::Scalar, SpecTier::Simd] {
-        let h = rt.submit_spec_foreach_tier(HOT_SRC, calls.clone(), cfg, SchedulerKind::ReExpansion, tier);
-        assert_eq!(h.wait(), Ok(want), "{tier:?}");
+        // sum fib(0..=9) = fib(11) - 1 = 88, cycled 20 times.
+        let calls: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 10]).collect();
+        for tier in tiers {
+            let job = SpecJob::foreach(HOT_SRC, calls.clone()).tier(tier);
+            let h = rt.submit(JobRequest::new(job, SchedConfig::basic(8, 32), SchedulerKind::ReExpansion));
+            assert_eq!(h.wait(), Ok(88 * 20), "{rt:?} {tier:?}");
+        }
+        rt.audit_quiescent();
     }
 }

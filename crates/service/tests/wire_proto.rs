@@ -16,6 +16,8 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use tb_service::wire::{
@@ -149,6 +151,10 @@ fn start_server() -> (std::net::SocketAddr, ServerHandle, ShardedRuntime) {
 /// placement booking outstanding, and placement conservation intact.
 fn shutdown_and_audit(handle: ServerHandle, rt: &ShardedRuntime) {
     handle.shutdown();
+    audit(rt);
+}
+
+fn audit(rt: &ShardedRuntime) {
     let snap: ShardSnapshot = rt.snapshot();
     assert_eq!(snap.gate_slots_held(), 0, "drained server holds a gate slot: {snap:?}");
     assert_eq!(snap.inflight(), 0, "drained server still runs a job: {snap:?}");
@@ -324,6 +330,54 @@ fn bad_specs_come_back_as_escaped_caret_diagnostics() {
     // rendering with the offending source line and a caret.
     let diag = unescape_line(responses[0].strip_prefix("ERR ").unwrap());
     assert!(diag.contains('\n') && diag.contains('^'), "caret diagnostic survived: {diag:?}");
+    shutdown_and_audit(handle, &rt);
+}
+
+#[test]
+fn drain_drops_a_half_sent_line_instead_of_waiting_for_it() {
+    let (addr, handle, rt) = start_server();
+    // A peer sends half a request and goes quiet without closing.
+    let mut lurker = TcpStream::connect(addr).expect("connect");
+    lurker.write_all(b"SUBMIT default auto [20] spec f(n) { base").expect("partial write");
+    lurker.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(200)); // let the server buffer it
+    let ok = client_roundtrip(addr, &["SHUTDOWN"]).expect("shutdown round trip");
+    assert!(ok[0].starts_with("OK "), "got {:?}", ok[0]);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    let joined = rx.recv_timeout(Duration::from_secs(2)).is_ok();
+    drop(lurker); // unwedge a server that waited, so a failure does not leak it
+    assert!(joined, "the drain waited on a peer's half-sent line");
+    audit(&rt);
+}
+
+#[test]
+fn stats_reconcile_placements_with_completions_and_failures() {
+    let (addr, handle, rt) = start_server();
+    let good = "SUBMIT default auto [10] spec f(n) { base (n < 2) { reduce n; } else { spawn f(n - 1); spawn f(n - 2); } }";
+    let malformed = "SUBMIT alice auto [3] spec f(n) { base (n < 2) { reduce n; } else { oops; } }";
+    let arity = "SUBMIT bob scalar [3,4] spec f(n) { base (n < 2) { reduce n; } else { spawn f(n - 1); } }";
+    let bad_line =
+        "SUBMIT bad!name auto [1] spec f(n) { base (n < 2) { reduce n; } else { spawn f(n - 1); } }";
+    let responses =
+        client_roundtrip(addr, &[good, malformed, arity, bad_line, good, arity, malformed, "STATS"])
+            .expect("round trip");
+    let oks = responses[..7].iter().filter(|r| r.starts_with("OK ")).count();
+    assert_eq!(oks, 2, "only the good submissions succeed: {responses:?}");
+    let stats = &responses[7];
+    let field = |key: &str| -> u64 {
+        let prefix = format!("{key}=");
+        stats
+            .split(' ')
+            .find_map(|kv| kv.strip_prefix(prefix.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("STATS lacks {key}: {stats:?}"))
+    };
+    assert_eq!((field("completed"), field("failed")), (2, 4), "{stats}");
+    assert_eq!(field("placed") + field("shed"), field("completed") + field("failed"), "{stats}");
     shutdown_and_audit(handle, &rt);
 }
 

@@ -91,7 +91,7 @@ pub fn detected_lane_width() -> usize {
 
 /// Which execution tier a compiled spec program should run under.
 ///
-/// The service layer threads this through `submit_spec` (defaulting to
+/// The service layer threads this through its spec jobs (defaulting to
 /// [`SpecTier::Auto`]); harnesses use it to pin a tier for measurement.
 /// All tiers are bit-identical in results — the knob trades straight-line
 /// SIMD throughput against masked-divergence overhead, nothing else.

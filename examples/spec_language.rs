@@ -65,19 +65,17 @@ fn main() {
     // validated, compiled once (cached), scheduled; bad programs come back
     // as located diagnostics instead of worker panics.
     let rt = Runtime::new(2);
-    let h = rt.submit_spec(
-        source,
-        vec![0, 0],
+    let h = rt.submit(JobRequest::new(
+        SpecJob::call(source, vec![0, 0]),
         SchedConfig::restart(16, 1 << 10, 128),
         SchedulerKind::RestartSimplified,
-    );
-    println!("\ntb-service submit_spec -> {:?}", h.wait());
-    let bad = rt.submit_spec(
-        "spec f(n) { base (n < 2) { reduce m; } else { spawn f(n - 1); } }",
-        vec![5],
+    ));
+    println!("\ntb-service spec job -> {:?}", h.wait());
+    let bad = rt.submit(JobRequest::new(
+        SpecJob::call("spec f(n) { base (n < 2) { reduce m; } else { spawn f(n - 1); } }", vec![5]),
         SchedConfig::basic(4, 64),
         SchedulerKind::Seq,
-    );
+    ));
     println!(
         "and a rejected source:\n{}",
         match bad.wait() {

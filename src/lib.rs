@@ -78,6 +78,6 @@ pub use tb_suite as suite;
 pub mod prelude {
     pub use tb_core::prelude::*;
     pub use tb_runtime::{PerWorker, ThreadPool, WorkerCtx};
-    pub use tb_service::{JobHandle, Runtime, RuntimeConfig};
+    pub use tb_service::{JobHandle, JobRequest, Runtime, RuntimeConfig, SpecJob};
     pub use tb_simd::{compact_append, default_q, detected_q, Lanes, Mask};
 }

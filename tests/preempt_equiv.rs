@@ -11,7 +11,7 @@
 //! scheduler config (basic BFE/DFE, re-expansion, restart parking with
 //! strip mining), and against all four scheduler implementations.
 //!
-//! This is the safety case for `Runtime::submit_preemptible`: the service
+//! This is the safety case for preemptible `JobRequest`s: the service
 //! may interrupt a batch job at an arbitrary boundary chosen by admission
 //! timing, so the equivalence has to hold at *every* boundary, not just
 //! convenient ones.

@@ -627,12 +627,12 @@ fn cross_shard_conservation_with_one_shard_saturated() {
     let release = Arc::new(AtomicBool::new(false));
     let blockers: Vec<_> = (0..CAPACITY)
         .map(|_| {
-            rt.submit_as(
-                saturator,
+            let req = JobRequest::new(
                 Blocker(Arc::clone(&release)),
                 SchedConfig::basic(1, 8),
                 SchedulerKind::ReExpansion,
-            )
+            );
+            rt.submit(req.tenant(saturator))
         })
         .collect();
     assert_eq!(rt.snapshot().loads[sat_home as usize].pending, CAPACITY, "home shard pinned full");
@@ -675,11 +675,9 @@ fn cross_shard_conservation_with_one_shard_saturated() {
                             }
                         }
                         // A 2^6-leaf tree through the program path.
-                        2 => match rt.try_submit_as(
-                            tenant,
-                            Tree(6),
-                            SchedConfig::basic(2, 64),
-                            SchedulerKind::ReExpansion,
+                        2 => match rt.try_submit(
+                            JobRequest::new(Tree(6), SchedConfig::basic(2, 64), SchedulerKind::ReExpansion)
+                                .tenant(tenant),
                         ) {
                             Ok(h) => tree_handles.push(h),
                             Err(_) => {

@@ -85,22 +85,20 @@ fn spec_source_through_the_service_front_end() {
     // which parses, lowers and schedules it — then reuses the cached code
     // for a foreach resubmission under a different scheduler kind.
     let rt = Runtime::new(3);
-    let h = rt.submit_spec(
-        examples::TREESUM_SOURCE,
-        vec![6, 0],
+    let h = rt.submit(JobRequest::new(
+        SpecJob::call(examples::TREESUM_SOURCE, vec![6, 0]),
         SchedConfig::restart(8, 64, 16),
         SchedulerKind::RestartSimplified,
-    );
+    ));
     assert_eq!(h.wait(), Ok(examples::treesum_expected(3, 6, 1)));
 
     let calls = examples::treesum_roots(5, 24);
     let want = examples::treesum_expected(3, 5, 24);
-    let h = rt.submit_spec_foreach(
-        examples::TREESUM_SOURCE,
-        calls,
+    let h = rt.submit(JobRequest::new(
+        SpecJob::foreach(examples::TREESUM_SOURCE, calls),
         SchedConfig::basic(8, 32),
         SchedulerKind::ReExpansion,
-    );
+    ));
     assert_eq!(h.wait(), Ok(want));
 }
 

@@ -105,6 +105,20 @@ impl BlockProgram for SpinUntil {
     }
 }
 
+/// Wait until every worker of `pool` sleeps. A worker that finds no work
+/// first spins through a burst of back-to-back steal sweeps (after the pool
+/// starts and after every run); a window edge drawn during that burst can
+/// split hundreds of sweeps between the counters and the drained events.
+/// Asleep, a worker sweeps once per re-check, so an edge splits at most a
+/// few.
+fn await_idle(pool: &ThreadPool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while pool.load().active_workers > 0 {
+        assert!(std::time::Instant::now() < deadline, "pool workers never went idle");
+        std::thread::yield_now();
+    }
+}
+
 fn count(tracks: &[Track], kind: EventKind) -> u64 {
     tracks.iter().flat_map(|t| &t.events).filter(|e| e.kind == kind).count() as u64
 }
@@ -156,10 +170,12 @@ fn traced_runs_reconcile_with_scheduler_counters() {
 
     // ---- Phase B: work-stealing pool, steal accounting ----------------
     let pool = ThreadPool::new(4);
+    await_idle(&pool);
     let before = pool.metrics();
     let _ = tb_obs::drain_all(); // window starts here: idle sweeps before this are out
     let out = run_scheduler(SchedulerKind::RestartIdeal, &Fib(22), cfg, Some(&pool));
     assert_eq!(out.reducer, 17_711);
+    await_idle(&pool);
     let tracks = tb_obs::drain_all();
     let delta = pool.metrics().since(&before);
 
@@ -242,17 +258,14 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     let (release, started) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
 
     let svc_cfg = SchedConfig::basic(4, 64); // trace=false: no engine-level Park/Resume mixed in
-    let b = rt.submit_preemptible(
-        batch,
-        SpinUntil { release: Arc::clone(&release), started: Arc::clone(&started) },
-        svc_cfg,
-    );
+    let spin = SpinUntil { release: Arc::clone(&release), started: Arc::clone(&started) };
+    let b = rt.submit(JobRequest::new(spin, svc_cfg, SchedulerKind::Seq).tenant(batch).preemptible());
     while !started.load(Ordering::Acquire) {
         std::thread::yield_now();
     }
     // The interactive job can only complete by preempting the batch job
     // out of the single slot.
-    let i = rt.submit_as(interactive, Fib(10), svc_cfg, SchedulerKind::Seq);
+    let i = rt.submit(JobRequest::new(Fib(10), svc_cfg, SchedulerKind::Seq).tenant(interactive));
     assert_eq!(i.wait(), Ok(55));
     release.store(true, Ordering::Release);
     assert_eq!(b.wait(), Ok(1));
